@@ -42,9 +42,16 @@ def canonical_bytes(obj: Any) -> bytes:
     if isinstance(obj, bytes):
         return b"Y" + str(len(obj)).encode() + b":" + obj
     if isinstance(obj, (tuple, list)):
+        if all(type(x) is int for x in obj):
+            # Fast path, byte-identical to the recursion: b"I%d" % x is
+            # canonical_bytes(x) for an exact int (not bool, not IntEnum).
+            return b"L(" + b"".join([b"I%d" % x for x in obj]) + b")"
         inner = b"".join(canonical_bytes(x) for x in obj)
         return b"L(" + inner + b")"
     if isinstance(obj, (set, frozenset)):
+        if all(type(x) is int for x in obj):
+            # Sorted by encoding, as below, not numerically.
+            return b"E(" + b"".join(sorted([b"I%d" % x for x in obj])) + b")"
         parts = sorted(canonical_bytes(x) for x in obj)
         return b"E(" + b"".join(parts) + b")"
     if isinstance(obj, dict):
@@ -62,13 +69,22 @@ def canonical_bytes(obj: Any) -> bytes:
     raise TypeError(f"cannot canonicalize {type(obj)!r} for signing")
 
 
-def _mac(key: bytes, payload: Any) -> bytes:
-    return hmac.new(key, canonical_bytes(payload), hashlib.sha256).digest()
+def _mac(key: bytes, encoded: bytes) -> bytes:
+    return hmac.new(key, encoded, hashlib.sha256).digest()
 
 
 @dataclass(frozen=True)
 class Signed:
-    """An immutable signed envelope: ``[payload]_signer``."""
+    """An immutable signed envelope: ``[payload]_signer``.
+
+    The MAC covers ``canonical_bytes((signer, payload))``.  An envelope
+    whose payload is hashable (frozen dataclasses, tuples, frozensets)
+    keeps that encoding in a non-field attribute, so ``==``, ``repr`` and
+    its own canonical form are unaffected and relay copies are not
+    re-encoded on every ``verify``.  A mutable payload (a dict, a list) is
+    re-encoded on every ``verify``, so mutating it after signing still
+    breaks verification.  Every ``verify`` recomputes the HMAC.
+    """
 
     payload: Any
     signer: str
@@ -76,11 +92,28 @@ class Signed:
 
     @classmethod
     def sign(cls, payload: Any, signer: str, signing_key: bytes) -> "Signed":
-        return cls(payload=payload, signer=signer,
-                   mac=_mac(signing_key, (signer, payload)))
+        encoded = canonical_bytes((signer, payload))
+        signed = cls(payload=payload, signer=signer,
+                     mac=_mac(signing_key, encoded))
+        signed._keep(encoded)
+        return signed
+
+    def _keep(self, encoded: bytes) -> None:
+        try:
+            hash(self.payload)
+        except TypeError:
+            return
+        object.__setattr__(self, "_encoded", encoded)
+
+    def _signed_bytes(self) -> bytes:
+        encoded = self.__dict__.get("_encoded")
+        if encoded is None:
+            encoded = canonical_bytes((self.signer, self.payload))
+            self._keep(encoded)
+        return encoded
 
     def verify(self, signing_key: bytes) -> bool:
-        expected = _mac(signing_key, (self.signer, self.payload))
+        expected = _mac(signing_key, self._signed_bytes())
         return hmac.compare_digest(expected, self.mac)
 
     def verify_or_raise(self, signing_key: bytes) -> Any:

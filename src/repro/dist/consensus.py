@@ -176,15 +176,18 @@ class SignedConsensus:
             for member in correct:
                 newly: List[ChainedValue] = []
                 for cv in inbox[member]:
-                    if not cv.valid(self.keys, round_index):
-                        continue
+                    # Acceptance is a conjunction of pure tests; the cheap
+                    # ones go first so signatures are checked only on
+                    # values this member could still accept.
                     if member in cv.signers():
                         continue
-                    slot = accepted[member].setdefault(cv.origin, {})
-                    if key_of(cv) in slot:
+                    slot = accepted[member].get(cv.origin)
+                    if slot is not None and (key_of(cv) in slot
+                                             or len(slot) >= 2):
+                        continue  # seen, or already have equivocation proof
+                    if not cv.valid(self.keys, round_index):
                         continue
-                    if len(slot) >= 2:
-                        continue  # already have equivocation proof
+                    slot = accepted[member].setdefault(cv.origin, {})
                     slot[key_of(cv)] = cv
                     newly.append(cv)
                 inbox[member] = []

@@ -26,6 +26,7 @@ from repro.eval.specs import (
     BEHAVIORS,
     PLACEMENT_STRATEGIES,
     TRAFFIC_KINDS,
+    AdversarySpec,
     topology_names,
 )
 
@@ -156,7 +157,9 @@ class ParamSpec:
     one-level nested parameter (a spec-shaped mapping): the value must
     be a mapping whose keys are validated/coerced against the sub-table,
     and the CLI addresses sub-keys with dotted names
-    (``--grid adversary.rate=0.01,0.05``).
+    (``--grid adversary.rate=0.01,0.05``).  ``check``, when set, is called
+    on the coerced mapping to enforce constraints between its keys (it
+    raises ``ValueError``; its return value is ignored).
     """
 
     name: str
@@ -164,6 +167,7 @@ class ParamSpec:
     default: object = _MISSING
     choices: Optional[Tuple[object, ...]] = None
     fields: Optional[Tuple["ParamSpec", ...]] = None
+    check: Optional[Callable[[Mapping], object]] = None
 
     @property
     def required(self) -> bool:
@@ -194,9 +198,16 @@ class ParamSpec:
                     f"{where}parameter {self.name!r} expects a mapping "
                     f"(address sub-keys as {self.name}."
                     f"{self.fields[0].name} etc.); got {value!r}")
-            return {key: self.field_spec(str(key)).coerce(
-                        sub_value, experiment=experiment)
-                    for key, sub_value in value.items()}
+            coerced_fields = {key: self.field_spec(str(key)).coerce(
+                                  sub_value, experiment=experiment)
+                              for key, sub_value in value.items()}
+            if self.check is not None:
+                try:
+                    self.check(coerced_fields)
+                except ValueError as error:
+                    raise ParamError(
+                        f"{where}parameter {self.name!r}: {error}") from None
+            return coerced_fields
         coerced = value
         # CLI literal parsing turns the text "none" into Python None; a
         # str parameter whose choices include "none" (e.g. the adversary
@@ -329,13 +340,17 @@ class ExperimentSpec:
                                                    experiment=self.name)
                 for name, value in values.items()}
 
-    def run(self, **params):
+    def resolve_params(self, params: Mapping[str, object]) -> Dict[str, object]:
+        """The validated keyword arguments :meth:`run` passes to ``fn``:
+        defaults merged in, dotted keys folded, every value coerced."""
         from repro.sweep.grid import fold_dotted_params
 
         merged = dict(self.defaults)
         merged.update(params)
-        merged = fold_dotted_params(merged)
-        return self.fn(**self.coerce_params(merged))
+        return self.coerce_params(fold_dotted_params(merged))
+
+    def run(self, **params):
+        return self.fn(**self.resolve_params(params))
 
     def report(self, result) -> List[str]:
         return self.reporter(result)
@@ -447,7 +462,7 @@ for _spec in (
                 ParamSpec("targeting", str, "flows",
                           choices=("flows", "all")),
                 ParamSpec("options", None, ()),
-            )),
+            ), check=AdversarySpec.from_dict),
             ParamSpec("placement", None, None, fields=(
                 ParamSpec("strategy", str, "seeded-random",
                           choices=PLACEMENT_STRATEGIES),

@@ -23,6 +23,7 @@ builds draw only from seeds handed in explicitly.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from typing import Callable, Dict, Mapping, Optional, Sequence, Tuple
@@ -53,6 +54,9 @@ from repro.net import (
 BEHAVIORS = (
     "none", "drop", "modify", "reorder", "delay", "fabricate", "misroute",
 )
+
+#: Behaviors whose ``rate`` is a fraction of matched packets, in [0, 1].
+_FRACTION_BEHAVIORS = ("drop", "modify", "misroute")
 
 #: Strategies a :class:`PlacementSpec` can use to pick the bad router.
 PLACEMENT_STRATEGIES = (
@@ -176,12 +180,14 @@ class AdversarySpec:
     """What the compromised router does to traffic crossing it.
 
     ``rate`` is the behavior's intensity: the fraction of matched packets
-    affected for ``drop``/``modify``/``misroute``; ignored for
+    affected for ``drop``/``modify``/``misroute`` (in [0, 1]); ignored for
     ``reorder``/``delay`` (use the ``period``/``hold``/``delay`` options);
-    and the forged-packet rate multiplier for ``fabricate`` (injection
-    runs at ``rate * 100`` packets/second unless a ``rate_pps`` option
-    overrides it).  ``targeting`` is ``"flows"`` (only the scenario's
-    monitored flows are matched) or ``"all"`` (every packet is fair game).
+    and the forged-packet rate multiplier for ``fabricate`` (> 0;
+    injection runs at ``rate * 100`` packets/second unless a ``rate_pps``
+    option overrides it).  Every rate must be finite; construction raises
+    ``ValueError`` otherwise.  ``targeting`` is ``"flows"`` (only the
+    scenario's monitored flows are matched) or ``"all"`` (every packet is
+    fair game).
     """
 
     behavior: str = "drop"
@@ -201,8 +207,18 @@ class AdversarySpec:
                 f"unknown adversary targeting {targeting!r}; "
                 f"'flows' or 'all'")
         rate = float(self.rate)
-        if not 0.0 <= rate or rate != rate:
-            raise ValueError(f"adversary rate must be >= 0, got {rate}")
+        if not (math.isfinite(rate) and rate >= 0.0):
+            raise ValueError(
+                f"adversary rate must be finite and >= 0, got {rate}")
+        if behavior in _FRACTION_BEHAVIORS and rate > 1.0:
+            raise ValueError(
+                f"adversary rate for {behavior!r} is the fraction of "
+                f"matched packets affected and must be in [0, 1], "
+                f"got {rate}")
+        if behavior == "fabricate" and rate == 0.0:
+            raise ValueError(
+                "adversary rate for 'fabricate' scales the forged-packet "
+                "rate and must be > 0, got 0.0")
         object.__setattr__(self, "behavior", behavior)
         object.__setattr__(self, "rate", rate)
         object.__setattr__(self, "targeting", targeting)

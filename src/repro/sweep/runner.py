@@ -214,6 +214,11 @@ def _validated_inputs(experiment: str, config: SweepConfig, *,
     all_specs = expand_grid(experiment, params, grid, n_seeds,
                             config.root_seed,
                             accepts_seed=spec_entry.accepts_seed)
+    # Each grid point as a whole: nested specs check their keys together
+    # (adversary.rate=2 is only wrong for a fraction-typed behavior).
+    for cell in all_specs:
+        if cell.seed_index == 0:
+            spec_entry.resolve_params(dict(cell.params))
     return params, grid, n_seeds, all_specs
 
 

@@ -1,5 +1,7 @@
 """Unit tests for fingerprints, keys, signatures, hash chains."""
 
+import enum
+
 import pytest
 
 from repro.crypto.fingerprint import FingerprintSampler, fingerprint, fingerprint_bytes
@@ -190,3 +192,124 @@ class TestHashChain:
     def test_length_validated(self):
         with pytest.raises(ValueError):
             HashChain(b"seed", length=0)
+
+
+class TestCanonicalIntFastPath:
+    """Exact-int collections take a fast path that must match the
+    generic per-element recursion byte for byte."""
+
+    CASES = [
+        [],
+        [0],
+        [-3, 5, -(2 ** 70)],
+        [9, 10, -1, 100],  # byte order differs from numeric order
+        [2 ** 64 - 1, 2 ** 64, 2 ** 64 + 1, 2 ** 65],
+        [fingerprint(Packet(src="a", dst="b", seq=i)) for i in range(50)],
+    ]
+
+    @staticmethod
+    def generic_list(values) -> bytes:
+        return b"L(" + b"".join(canonical_bytes(x) for x in values) + b")"
+
+    @staticmethod
+    def generic_set(values) -> bytes:
+        return b"E(" + b"".join(sorted(canonical_bytes(x)
+                                       for x in values)) + b")"
+
+    @pytest.mark.parametrize("values", CASES)
+    def test_sequences_match_generic(self, values):
+        assert canonical_bytes(tuple(values)) == self.generic_list(values)
+        assert canonical_bytes(list(values)) == self.generic_list(values)
+
+    @pytest.mark.parametrize("values", CASES)
+    def test_sets_match_generic(self, values):
+        assert canonical_bytes(frozenset(values)) == self.generic_set(values)
+        assert canonical_bytes(set(values)) == self.generic_set(values)
+
+    @staticmethod
+    def element_calls(value, monkeypatch) -> int:
+        """How many times canonical_bytes recursed below ``value``."""
+        from repro.crypto import signatures
+
+        calls = []
+        real = signatures.canonical_bytes
+
+        def counting(obj):
+            calls.append(obj)
+            return real(obj)
+
+        monkeypatch.setattr(signatures, "canonical_bytes", counting)
+        real(value)
+        monkeypatch.undo()
+        return len(calls)
+
+    def test_exact_ints_take_fast_path(self, monkeypatch):
+        assert self.element_calls((1, 2, 3), monkeypatch) == 0
+        assert self.element_calls(frozenset({1, 2}), monkeypatch) == 0
+
+    def test_bools_keep_generic_path(self, monkeypatch):
+        assert canonical_bytes((True, 1, False)) == b"L(B1I1B0)"
+        assert canonical_bytes(frozenset({True, 2})) == b"E(B1I2)"
+        assert self.element_calls((True, 1), monkeypatch) == 2
+
+    def test_int_enums_keep_generic_path(self, monkeypatch):
+        class Level(enum.IntEnum):
+            LOW = 1
+
+        assert canonical_bytes((Level.LOW, 2)) == b"L(I1I2)"
+        assert canonical_bytes({Level.LOW, 2}) == b"E(I1I2)"
+        assert self.element_calls((Level.LOW, 2), monkeypatch) == 2
+        assert self.element_calls({Level.LOW}, monkeypatch) == 1
+
+    def test_mixed_collections_keep_generic_path(self, monkeypatch):
+        assert canonical_bytes((1, "a", None)) == b"L(I1S1:aN)"
+        assert canonical_bytes(frozenset({1, "a"})) == b"E(I1S1:a)"
+        assert canonical_bytes(((1, 2), 3)) == b"L(L(I1I2)I3)"
+        assert self.element_calls((1, "a"), monkeypatch) == 2
+
+
+class TestSignedEncodingCache:
+    def test_envelope_equality_repr_and_bytes_unchanged(self):
+        keys = KeyInfrastructure()
+        signed = Signed.sign(("x", 1), "r1", keys.signing_key("r1"))
+        rebuilt = Signed(payload=("x", 1), signer="r1", mac=signed.mac)
+        assert signed.verify(keys.signing_key("r1"))
+        assert rebuilt == signed
+        assert repr(rebuilt) == repr(signed)
+        assert canonical_bytes(rebuilt) == canonical_bytes(signed)
+
+    def test_constructor_built_envelope_verifies(self):
+        keys = KeyInfrastructure()
+        signed = Signed.sign(frozenset({3, 1}), "r1", keys.signing_key("r1"))
+        copy = Signed(payload=frozenset({1, 3}), signer="r1", mac=signed.mac)
+        assert copy.verify(keys.signing_key("r1"))
+        assert copy.verify(keys.signing_key("r1"))  # cached copy reused
+
+    def test_forgery_reusing_cached_mac_fails(self):
+        keys = KeyInfrastructure()
+        signed = Signed.sign(("count", 5), "r1", keys.signing_key("r1"))
+        assert signed.verify(keys.signing_key("r1"))
+        forged = Signed(payload=("count", 9), signer="r1", mac=signed.mac)
+        assert not forged.verify(keys.signing_key("r1"))
+        stolen = Signed(payload=("count", 5), signer="r2", mac=signed.mac)
+        assert not stolen.verify(keys.signing_key("r2"))
+
+    def test_cached_envelope_still_checks_the_key(self):
+        keys = KeyInfrastructure()
+        signed = Signed.sign(("count", 5), "r1", keys.signing_key("r1"))
+        assert signed.verify(keys.signing_key("r1"))
+        assert not signed.verify(keys.signing_key("r2"))
+
+    def test_mutated_dict_payload_fails(self):
+        keys = KeyInfrastructure()
+        signed = Signed.sign({"count": 5}, "r1", keys.signing_key("r1"))
+        assert signed.verify(keys.signing_key("r1"))
+        signed.payload["count"] = 9
+        assert not signed.verify(keys.signing_key("r1"))
+
+    def test_mutated_list_payload_fails(self):
+        keys = KeyInfrastructure()
+        signed = Signed.sign([1, 2], "r1", keys.signing_key("r1"))
+        assert signed.verify(keys.signing_key("r1"))
+        signed.payload.append(3)
+        assert not signed.verify(keys.signing_key("r1"))

@@ -1,5 +1,7 @@
 """Unit tests for sync, robust flooding and signed consensus."""
 
+from unittest import mock
+
 import pytest
 
 from repro.crypto.keys import KeyInfrastructure
@@ -7,6 +9,7 @@ from repro.dist.broadcast import robust_flood
 from repro.dist.consensus import (
     ChainedValue,
     Equivocator,
+    FaultyBehavior,
     Silent,
     SignedConsensus,
 )
@@ -136,8 +139,8 @@ class TestSignedConsensus:
         cons = SignedConsensus(self.members(), keys, max_faults=1)
         results = cons.run({"a": 1, "b": 2, "c": 3}, faulty={"d": Silent()})
         for r in results.values():
-            assert r.values["d"] is None
-            assert "d" in r.silent
+            assert r.values == {"a": 1, "b": 2, "c": 3, "d": None}
+            assert r.silent == {"d"} and not r.equivocators
 
     def test_equivocator_detected_and_agreed_bottom(self):
         keys = KeyInfrastructure()
@@ -147,8 +150,8 @@ class TestSignedConsensus:
         vectors = {r.agreed_vector() for r in results.values()}
         assert len(vectors) == 1
         for r in results.values():
-            assert "d" in r.equivocators
-            assert r.values["d"] is None
+            assert r.values == {"a": 1, "b": 2, "c": 3, "d": None}
+            assert r.equivocators == {"d"} and not r.silent
 
     def test_two_faults_with_enough_rounds(self):
         keys = KeyInfrastructure()
@@ -185,3 +188,66 @@ class TestSignedConsensus:
         honest = Signed.sign("v", "a", keys.signing_key("a"))
         cv = ChainedValue(honest).extend("b", keys).extend("b", keys)
         assert not cv.valid(keys, round_index=2)
+
+
+class ForgedLinks(FaultyBehavior):
+    """Relays every value it hears over a link signed with the wrong key,
+    and injects a value claiming to come from ``victim``."""
+
+    def __init__(self, victim: str) -> None:
+        self.victim = victim
+        self.wrong = KeyInfrastructure(b"attacker-guess")
+
+    def initial_values(self, member, receivers, keys):
+        signed = Signed.sign("mine", member, keys.signing_key(member))
+        return {r: [ChainedValue(signed)] for r in receivers}
+
+    def relay(self, member, receivers, new_values, keys):
+        forged = Signed.sign(99, self.victim,
+                             self.wrong.signing_key(self.victim))
+        out = [ChainedValue(forged).extend(member, keys)]
+        for cv in new_values:
+            link = Signed.sign((cv.original.signer, cv.original.mac),
+                               member, self.wrong.signing_key(member))
+            out.append(ChainedValue(cv.original, cv.chain + (link,)))
+        return {r: list(out) for r in receivers}
+
+
+class TestConsensusVerifiesOnlyAcceptableValues:
+    def count_verifies(self, members, inputs, faulty=None, max_faults=None):
+        keys = KeyInfrastructure()
+        cons = SignedConsensus(members, keys, max_faults=max_faults)
+        with mock.patch.object(Signed, "verify", autospec=True,
+                               side_effect=Signed.verify) as verify:
+            results = cons.run(inputs, faulty=faulty)
+        return results, verify.call_count
+
+    def test_three_honest_members_verify_each_original_once(self):
+        # Round 0: each member checks the two originals it receives.
+        # Round 1: every relay carries a value the member already holds
+        # or signed itself, so no signature is checked.
+        results, verifies = self.count_verifies(
+            ["a", "b", "c"], {"a": 1, "b": 2, "c": 3})
+        assert verifies == 6
+        for result in results.values():
+            assert result.values == {"a": 1, "b": 2, "c": 3}
+            assert not result.silent and not result.equivocators
+
+    def test_four_honest_members(self):
+        results, verifies = self.count_verifies(
+            ["a", "b", "c", "d"], {"a": 1, "b": 2, "c": 3, "d": 4},
+            max_faults=1)
+        assert verifies == 12
+        assert {r.agreed_vector() for r in results.values()} == {
+            (("a", 1), ("b", 2), ("c", 3), ("d", 4))}
+
+    def test_forged_link_outcome(self):
+        # The forged value for "a" reaches the signature check (its MAC is
+        # new to every member) and fails it; forged relays of held values
+        # are dropped before it.
+        results, _ = self.count_verifies(
+            ["a", "b", "c", "d"], {"a": 1, "b": 2, "c": 3},
+            faulty={"d": ForgedLinks("a")}, max_faults=2)
+        for result in results.values():
+            assert result.values == {"a": 1, "b": 2, "c": 3, "d": "mine"}
+            assert not result.silent and not result.equivocators

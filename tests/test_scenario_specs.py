@@ -97,6 +97,61 @@ class TestSpecRoundTrip:
             assert expected in names
 
 
+class TestAdversaryRate:
+    """``rate`` is checked against its behavior when the spec is built."""
+
+    @pytest.mark.parametrize("behavior", ["drop", "modify", "misroute"])
+    def test_fraction_behaviors_need_unit_interval(self, behavior):
+        for rate in (0.0, 0.5, 1.0):
+            assert AdversarySpec(behavior, rate=rate).rate == rate
+        for rate in (1.0001, 2.0, -0.1, float("inf"), float("nan")):
+            with pytest.raises(ValueError, match="rate"):
+                AdversarySpec(behavior, rate=rate)
+            with pytest.raises(ValueError, match="rate"):
+                AdversarySpec.from_dict({"behavior": behavior, "rate": rate})
+
+    def test_fabricate_needs_finite_positive_rate(self):
+        for rate in (0.01, 1.0, 3.0):
+            assert AdversarySpec("fabricate", rate=rate).rate == rate
+        for rate in (0.0, -1.0, float("inf"), float("nan")):
+            with pytest.raises(ValueError, match="rate"):
+                AdversarySpec("fabricate", rate=rate)
+            with pytest.raises(ValueError, match="rate"):
+                AdversarySpec.from_dict({"behavior": "fabricate",
+                                         "rate": rate})
+
+    @pytest.mark.parametrize("behavior", ["none", "reorder", "delay"])
+    def test_rate_free_behaviors_reject_only_non_finite(self, behavior):
+        assert AdversarySpec(behavior, rate=0.0).rate == 0.0
+        assert AdversarySpec(behavior, rate=5.0).rate == 5.0
+        for rate in (float("inf"), -1.0):
+            with pytest.raises(ValueError, match="rate"):
+                AdversarySpec.from_dict({"behavior": behavior, "rate": rate})
+
+    def test_default_behavior_is_a_fraction(self):
+        with pytest.raises(ValueError, match="'drop'.*got 2.0"):
+            AdversarySpec.from_dict({"rate": 2})
+
+    def test_experiment_params_checked_before_running(self):
+        spec = get_experiment("attack_matrix")
+        with pytest.raises(ParamError, match="adversary.*got 2.0"):
+            spec.run(**{"topology": "line", "adversary.rate": 2.0})
+        resolved = spec.resolve_params(
+            {"adversary.behavior": "delay", "adversary.rate": 2.0})
+        assert resolved["adversary"] == {"behavior": "delay", "rate": 2.0}
+
+    @pytest.mark.parametrize("rates", ["2", "0.5,2", "inf"])
+    def test_grid_rate_rejected_at_parse_time(self, tmp_path, capsys,
+                                              rates):
+        code = main(["sweep", "attack_matrix", "--seeds", "1", "--quiet",
+                     "--no-cache", "--param", "topology=line",
+                     "--grid", f"adversary.rate={rates}",
+                     "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert "adversary rate" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
 class TestPlacement:
     def test_fixed_requires_member_router(self):
         spec = PlacementSpec("fixed", router="r2")
