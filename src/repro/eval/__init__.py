@@ -14,8 +14,7 @@ but emits a :class:`DeprecationWarning`, and the ``API001`` lint rule
 flags in-repo imports that bypass the package for exported names.
 """
 
-import importlib as _importlib
-import warnings as _warnings
+from repro._surface import narrow_surface as _narrow_surface
 
 from repro.eval.metrics import DetectionMetrics, score_round_findings
 from repro.eval.results import (
@@ -41,10 +40,7 @@ from repro.eval.specs import (
 )
 from repro.eval.scenarios import (
     AttackScenario,
-    DropTailScenario,
-    REDScenario,
-    build_droptail_scenario,
-    build_red_scenario,
+    BottleneckScenario,
     build_scenario,
     droptail_spec,
     red_spec,
@@ -73,10 +69,7 @@ __all__ = [
     "topology_names",
     "transit_candidates",
     "AttackScenario",
-    "DropTailScenario",
-    "REDScenario",
-    "build_droptail_scenario",
-    "build_red_scenario",
+    "BottleneckScenario",
     "build_scenario",
     "droptail_spec",
     "red_spec",
@@ -88,28 +81,4 @@ _PUBLIC_MODULES = ("experiments", "registry")
 #: Internal implementation modules, deprecated as import targets.
 _INTERNAL_MODULES = ("metrics", "results", "scenarios", "specs")
 
-# Drop the submodule bindings the re-exports above created on the
-# package, so attribute access routes through __getattr__ (PEP 562)
-# and carries a deprecation warning for the internal modules.
-for _name in _INTERNAL_MODULES:
-    globals().pop(_name, None)
-del _name
-
-
-def __getattr__(name: str):
-    if name in _PUBLIC_MODULES:
-        return _importlib.import_module(f"repro.eval.{name}")
-    if name in _INTERNAL_MODULES:
-        _warnings.warn(
-            f"repro.eval.{name} is an internal module; import the "
-            f"supported names from the repro.eval package instead "
-            f"(see repro.eval.__all__)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return _importlib.import_module(f"repro.eval.{name}")
-    raise AttributeError(f"module 'repro.eval' has no attribute {name!r}")
-
-
-def __dir__():
-    return sorted(set(__all__) | set(_INTERNAL_MODULES))
+_narrow_surface(globals(), _INTERNAL_MODULES, _PUBLIC_MODULES)

@@ -48,14 +48,15 @@ from repro.eval.metrics import DetectionMetrics, score_round_findings
 from repro.eval.results import EvalResultBase, register_result_type
 from repro.eval.scenarios import (
     AttackScenario,
-    _droptail_scenario,
-    _red_scenario,
+    BottleneckScenario,
+    _bottleneck_scenario,
     build_scenario,
+    droptail_spec,
+    red_spec,
 )
 from repro.eval.specs import ScenarioSpec, TopologySpec
 from repro.net import (
     CBRSource,
-    CombinedCompromise,
     DropFlowAttack,
     LinkStateRouting,
     MBPS,
@@ -407,23 +408,15 @@ class ScenarioResult(EvalResultBase):
         )
 
 
-def _run_droptail(name: str, attack_factory, *,
-                  learning_until: float = 20.0,
-                  monitor_rounds: Tuple[int, int] = (10, 44),
-                  attack_at: float = 50.0,
-                  end: float = 110.0,
-                  with_connector: bool = False,
-                  tau: float = 2.0,
-                  n_sources: int = 3,
-                  seed: int = 0) -> ScenarioResult:
-    scenario = _droptail_scenario(tau=tau, seed=seed,
-                                  n_sources=n_sources,
-                                  with_connector=with_connector)
+def _attack_and_score(name: str, scenario: BottleneckScenario,
+                      attack_factory, *, attack_at: float, end: float,
+                      tau: float, confidence: str) -> ScenarioResult:
+    """Run a testbed whose χ rounds are scheduled to ``end``, with the
+    attack (if any) armed on ``r`` at ``attack_at``, and score χ's round
+    findings against it.  ``confidence`` names the findings attribute
+    reported in each round row."""
     net = scenario.network
     chi = scenario.chi
-    net.run(learning_until)
-    chi.calibrate(scenario.target)
-    chi.schedule_rounds(*monitor_rounds)
     net.run(attack_at)
     attack = None
     if attack_factory is not None:
@@ -434,7 +427,7 @@ def _run_droptail(name: str, attack_factory, *,
                     else None)
     metrics = score_round_findings(chi.findings, attack_first)
     rounds = [(f.round_index, len(f.drops), f.candidate_drops,
-               f.max_single_confidence, f.alarmed) for f in chi.findings]
+               getattr(f, confidence), f.alarmed) for f in chi.findings]
     by_round: Dict[int, int] = {}
     if attack is not None:
         for when in attack.drop_times:
@@ -451,6 +444,29 @@ def _run_droptail(name: str, attack_factory, *,
     )
     if scenario.connector is not None:
         result.extra["syn_retries"] = float(scenario.connector.syn_retry_count())
+    return result
+
+
+def _run_droptail(name: str, attack_factory, *,
+                  learning_until: float = 20.0,
+                  monitor_rounds: Tuple[int, int] = (10, 44),
+                  attack_at: float = 50.0,
+                  end: float = 110.0,
+                  with_connector: bool = False,
+                  tau: float = 2.0,
+                  n_sources: int = 3,
+                  seed: int = 0) -> ScenarioResult:
+    scenario = _bottleneck_scenario(droptail_spec(
+        n_sources=n_sources, tau=tau, with_connector=with_connector,
+        seed=seed))
+    # Learning period (§6.2.1): fit droptail χ's (µ, σ) before monitoring.
+    scenario.network.run(learning_until)
+    scenario.chi.calibrate(scenario.target)
+    scenario.chi.schedule_rounds(*monitor_rounds)
+    result = _attack_and_score(name, scenario, attack_factory,
+                               attack_at=attack_at, end=end, tau=tau,
+                               confidence="max_single_confidence")
+    if scenario.connector is not None:
         setup = scenario.connector.setup_times()
         if setup:
             result.extra["mean_setup_time"] = sum(setup) / len(setup)
@@ -695,39 +711,14 @@ def _run_red(name: str, attack_factory, *,
              tau: float = 5.0,
              n_sources: int = 8,
              seed: int = 0) -> ScenarioResult:
-    scenario = _red_scenario(tau=tau, seed=seed, n_sources=n_sources,
-                             with_connector=with_connector)
-    net = scenario.network
-    chi = scenario.chi
-    chi.schedule_rounds(*monitor_rounds)
-    net.run(attack_at)
-    attack = None
-    if attack_factory is not None:
-        attack = attack_factory(scenario)
-        net.routers["r"].compromise = attack
-    net.run(end)
-    attack_first = (int(attack_at / tau) if attack_factory is not None
-                    else None)
-    metrics = score_round_findings(chi.findings, attack_first)
-    rounds = [(f.round_index, len(f.drops), f.candidate_drops,
-               f.combined_confidence, f.alarmed) for f in chi.findings]
-    by_round: Dict[int, int] = {}
-    if attack is not None:
-        for when in attack.drop_times:
-            by_round[int(when / tau)] = by_round.get(int(when / tau), 0) + 1
-    result = ScenarioResult(
-        name=name,
-        metrics=metrics,
-        total_drops=sum(len(f.drops) for f in chi.findings),
-        congestive_drops=sum(f.congestive_drops for f in chi.findings),
-        malicious_drops_truth=(len(attack.dropped) if attack else 0),
-        candidate_drops=sum(f.candidate_drops for f in chi.findings),
-        rounds=rounds,
-        malicious_by_round=by_round,
-    )
-    if scenario.connector is not None:
-        result.extra["syn_retries"] = float(scenario.connector.syn_retry_count())
-    return result
+    scenario = _bottleneck_scenario(red_spec(
+        n_sources=n_sources, tau=tau, with_connector=with_connector,
+        seed=seed))
+    # No learning period: calibration applies to droptail validators only.
+    scenario.chi.schedule_rounds(*monitor_rounds)
+    return _attack_and_score(name, scenario, attack_factory,
+                             attack_at=attack_at, end=end, tau=tau,
+                             confidence="combined_confidence")
 
 
 def fig6_11_red_no_attack(seed: int = 0, tau: float = 5.0,
@@ -801,7 +792,7 @@ def fig6_16_red_attack5(seed: int = 0) -> ScenarioResult:
 
 
 # ---------------------------------------------------------------------------
-# Packet-plane protocol benches — Π2 / Πk+2 / tcp-heavy / adversary-heavy
+# Packet-plane protocol benches — Π2 / Πk+2
 # ---------------------------------------------------------------------------
 
 @register_result_type
@@ -904,32 +895,6 @@ def pik2_bench(seed: int = 0, bad_router: str = "r3",
     return _run_protocol_bench("pik2-bench", "pik2", seed=seed,
                                bad_router=bad_router, fraction=fraction,
                                rate_bps=rate_bps)
-
-
-def tcp_heavy_bench(seed: int = 0, n_sources: int = 6,
-                    tau: float = 2.0) -> ScenarioResult:
-    """TCP-heavy droptail workload: many sources + connection setup,
-    congestion only — stresses queues and the χ monitor with no attack."""
-    return _run_droptail("tcp-heavy", None, seed=seed, tau=tau,
-                         n_sources=n_sources, with_connector=True)
-
-
-def adversary_heavy_bench(seed: int = 0, n_sources: int = 8,
-                          avg_threshold: float = 45_000) -> ScenarioResult:
-    """Adversary-heavy RED workload: a combined RED-conditional dropper
-    plus SYN-dropper — stresses the attack hooks on every packet."""
-    return _run_red(
-        "adversary-heavy",
-        lambda s: CombinedCompromise(
-            REDAverageConditionalDropAttack(["tcp1", "tcp2"],
-                                            avg_threshold=avg_threshold,
-                                            seed=seed + 1),
-            SynDropAttack("vsink", seed=seed + 2),
-        ),
-        with_connector=True,
-        end=200.0, monitor_rounds=(1, 39),
-        seed=seed,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -1194,7 +1159,7 @@ def traffic_modeling_comparison(seed: int = 0) -> ModelingComparison:
     The paper verified Q's normality but found (µ, σ) predictions too
     rough for detection; this experiment quantifies the gap on our
     testbed."""
-    scenario = _droptail_scenario(n_sources=3, seed=seed)
+    scenario = _bottleneck_scenario(droptail_spec(seed=seed))
     net = scenario.network
     net.run(120.0)
     queue = scenario.bottleneck_queue

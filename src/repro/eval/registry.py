@@ -414,13 +414,6 @@ for _spec in (
                    description="bench: Π2 packet-plane run, 6-router chain"),
     ExperimentSpec("pik2_bench", ex.pik2_bench, report_protocol_bench,
                    description="bench: Πk+2 packet-plane run, 6-router chain"),
-    ExperimentSpec("tcp_heavy", ex.tcp_heavy_bench, report_scenario,
-                   description="bench: TCP-heavy droptail congestion, "
-                               "no attack"),
-    ExperimentSpec("adversary_heavy", ex.adversary_heavy_bench,
-                   report_scenario,
-                   description="bench: RED with combined conditional-drop "
-                               "+ SYN-drop adversary"),
     ExperimentSpec("fig6_7", ex.fig6_7_attack2, report_scenario,
                    description="Fig 6.7: drop selected flow at queue 90%"),
     ExperimentSpec("fig6_8", ex.fig6_8_attack3, report_scenario,

@@ -6,9 +6,9 @@ Two families live here:
   source routers feeding one router ``r`` whose output link to ``rd`` is
   the bottleneck; TCP flows congest the bottleneck queue and a victim
   flow is what the compromised ``r`` attacks.  Spec helpers
-  :func:`droptail_spec` / :func:`red_spec` describe it; the legacy
-  positional builders :func:`build_droptail_scenario` /
-  :func:`build_red_scenario` remain as one-release deprecation shims.
+  :func:`droptail_spec` / :func:`red_spec` describe it with a droptail
+  or RED bottleneck queue; :func:`build_scenario` returns a
+  :class:`BottleneckScenario`.
 * WedgeTail-style attack matrices: :func:`build_scenario` on any
   catalogued :class:`~repro.eval.specs.ScenarioSpec` resolves adversary
   placement, routes monitored flows across the bad router and arms a
@@ -18,7 +18,6 @@ Two families live here:
 from __future__ import annotations
 
 import random
-import warnings
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple, Union
 
@@ -109,30 +108,20 @@ class RepeatedConnector:
 
 
 @dataclass
-class DropTailScenario:
+class BottleneckScenario:
+    """A built Fig 6.4 testbed: network, armed χ, TCP flows.
+
+    ``red_params`` is the bottleneck's RED configuration, or None when
+    the bottleneck queue is droptail.
+    """
+
     network: Network
     chi: ProtocolChi
     schedule: RoundSchedule
     oracle: PathOracle
     flows: Dict[str, TCPFlow]
     target: Tuple[str, str]
-    connector: Optional[RepeatedConnector] = None
-
-    @property
-    def bottleneck_queue(self):
-        router, downstream = self.target
-        return self.network.routers[router].interfaces[downstream].queue
-
-
-@dataclass
-class REDScenario:
-    network: Network
-    chi: ProtocolChi
-    schedule: RoundSchedule
-    oracle: PathOracle
-    flows: Dict[str, TCPFlow]
-    target: Tuple[str, str]
-    red_params: REDParams
+    red_params: Optional[REDParams] = None
     connector: Optional[RepeatedConnector] = None
 
     @property
@@ -165,59 +154,6 @@ def _simple_topology_factory(n_sources: int = 3,
 register_topology("simple", _simple_topology_factory)
 
 
-# -- deprecation shims ------------------------------------------------------
-
-_SHIM_WARNED: set = set()
-
-
-def _warn_once(name: str, replacement: str) -> None:
-    if name in _SHIM_WARNED:
-        return
-    _SHIM_WARNED.add(name)
-    warnings.warn(
-        f"{name}() is deprecated; build a spec with {replacement} and "
-        f"pass it to build_scenario() instead",
-        DeprecationWarning, stacklevel=3)
-
-
-def _droptail_scenario(
-    n_sources: int = 3,
-    bottleneck_bw: float = 1.0 * MBPS,
-    queue_limit: int = 60_000,
-    tau: float = 2.0,
-    proc_jitter: float = 0.0004,
-    with_connector: bool = False,
-    chi_config: Optional[ChiConfig] = None,
-    seed: int = 0,
-) -> DropTailScenario:
-    """The droptail testbed of Figs 6.5-6.9.
-
-    One long-lived TCP flow per source router toward ``sink``; the flow
-    from ``s1`` is the conventional attack victim ("selected flow").
-    With ``with_connector`` a repeated-connection host runs from ``s0``
-    toward ``vsink`` (the SYN-attack victim).
-    """
-    topo = _simple_topology(n_sources, bottleneck_bw, queue_limit,
-                            with_victim_sink=with_connector)
-    net = Network(topo, proc_jitter=proc_jitter, seed=seed)
-    paths = install_static_routes(net)
-    oracle = PathOracle(paths)
-    schedule = RoundSchedule(tau=tau)
-    chi = ProtocolChi(net, oracle, schedule, targets=[("r", "rd")],
-                      config=chi_config or ChiConfig())
-    flows = {}
-    for i in range(n_sources):
-        flow_id = f"tcp{i}"
-        flows[flow_id] = TCPFlow(net, f"s{i}", "sink", flow_id,
-                                 start=0.1 * (i + 1))
-    connector = None
-    if with_connector:
-        connector = RepeatedConnector(net, "s0", "vsink", start=0.5)
-    return DropTailScenario(network=net, chi=chi, schedule=schedule,
-                            oracle=oracle, flows=flows, target=("r", "rd"),
-                            connector=connector)
-
-
 # RED parameters calibrated so that, under the default 8-flow load on a
 # 1 Mbps bottleneck, the average queue oscillates through the paper's
 # 45,000- and 54,000-byte attack thresholds (Figs 6.12-6.13).
@@ -226,86 +162,62 @@ DEFAULT_RED_PARAMS = REDParams(
 )
 
 
-def _red_scenario(
-    n_sources: int = 8,
-    bottleneck_bw: float = 1.0 * MBPS,
-    queue_limit: int = 120_000,
-    tau: float = 5.0,
-    red_params: Optional[REDParams] = None,
-    with_connector: bool = False,
-    chi_config: Optional[ChiConfig] = None,
-    seed: int = 0,
-) -> REDScenario:
-    """The RED testbed of Figs 6.11-6.16."""
-    params = red_params or DEFAULT_RED_PARAMS
-    topo = _simple_topology(n_sources, bottleneck_bw, queue_limit,
-                            with_victim_sink=with_connector)
+def _bottleneck_scenario(spec: ScenarioSpec) -> BottleneckScenario:
+    """The Fig 6.4 testbed a ``simple``-topology spec describes.
 
-    def queue_factory(link):
+    The scenario option ``queue`` picks the bottleneck discipline:
+    ``droptail`` (Figs 6.5-6.9) or ``red`` (Figs 6.11-6.16, with
+    :data:`DEFAULT_RED_PARAMS`).  One long-lived TCP flow per source
+    router runs toward ``sink``; the flow from ``s1`` is the
+    conventional attack victim ("selected flow").  With the option
+    ``with_connector`` a repeated-connection host runs from ``s0``
+    toward ``vsink`` (the SYN-attack victim).
+    """
+    queue = str(spec.option("queue", "droptail"))
+    if queue not in ("droptail", "red"):
+        raise ValueError(
+            f"unknown queue option {queue!r}; 'droptail' or 'red'")
+    red = queue == "red"
+    n_sources = int(spec.traffic.flows)
+    with_connector = bool(spec.option("with_connector", False))
+    seed = spec.seed
+    topo = _simple_topology(
+        n_sources,
+        float(spec.topology.option("bottleneck_bw", 1.0 * MBPS)),
+        int(spec.topology.option("queue_limit",
+                                 120_000 if red else 60_000)),
+        with_victim_sink=with_connector)
+
+    params = DEFAULT_RED_PARAMS if red else None
+
+    def red_bottleneck(link):
         if link.src == "r" and link.dst == "rd":
             return REDQueue(link.queue_limit, params=params,
                             rng=random.Random(seed + 1))
         return DropTailQueue(link.queue_limit)
 
-    net = Network(topo, queue_factory=queue_factory, proc_jitter=0.0,
+    net = Network(topo, queue_factory=red_bottleneck if red else None,
+                  proc_jitter=float(spec.option("proc_jitter",
+                                                0.0 if red else 0.0004)),
                   seed=seed)
     paths = install_static_routes(net)
     oracle = PathOracle(paths)
-    schedule = RoundSchedule(tau=tau)
-    config = chi_config or ChiConfig(red_params=params)
-    if config.red_params is None:
-        config.red_params = params
+    schedule = RoundSchedule(tau=spec.tau)
     chi = ProtocolChi(net, oracle, schedule, targets=[("r", "rd")],
-                      config=config)
+                      config=ChiConfig(red_params=params))
+    spacing = 0.15 if red else 0.1
     flows = {}
     for i in range(n_sources):
         flow_id = f"tcp{i}"
         flows[flow_id] = TCPFlow(net, f"s{i}", "sink", flow_id,
-                                 start=0.15 * (i + 1))
+                                 start=spacing * (i + 1))
     connector = None
     if with_connector:
         connector = RepeatedConnector(net, "s0", "vsink", start=0.5)
-    return REDScenario(network=net, chi=chi, schedule=schedule,
-                       oracle=oracle, flows=flows, target=("r", "rd"),
-                       red_params=params, connector=connector)
-
-
-def build_droptail_scenario(
-    n_sources: int = 3,
-    bottleneck_bw: float = 1.0 * MBPS,
-    queue_limit: int = 60_000,
-    tau: float = 2.0,
-    proc_jitter: float = 0.0004,
-    with_connector: bool = False,
-    chi_config: Optional[ChiConfig] = None,
-    seed: int = 0,
-) -> DropTailScenario:
-    """Deprecated positional builder; use :func:`droptail_spec` +
-    :func:`build_scenario` (kept for one release)."""
-    _warn_once("build_droptail_scenario", "droptail_spec(...)")
-    return _droptail_scenario(
-        n_sources=n_sources, bottleneck_bw=bottleneck_bw,
-        queue_limit=queue_limit, tau=tau, proc_jitter=proc_jitter,
-        with_connector=with_connector, chi_config=chi_config, seed=seed)
-
-
-def build_red_scenario(
-    n_sources: int = 8,
-    bottleneck_bw: float = 1.0 * MBPS,
-    queue_limit: int = 120_000,
-    tau: float = 5.0,
-    red_params: Optional[REDParams] = None,
-    with_connector: bool = False,
-    chi_config: Optional[ChiConfig] = None,
-    seed: int = 0,
-) -> REDScenario:
-    """Deprecated positional builder; use :func:`red_spec` +
-    :func:`build_scenario` (kept for one release)."""
-    _warn_once("build_red_scenario", "red_spec(...)")
-    return _red_scenario(
-        n_sources=n_sources, bottleneck_bw=bottleneck_bw,
-        queue_limit=queue_limit, tau=tau, red_params=red_params,
-        with_connector=with_connector, chi_config=chi_config, seed=seed)
+    return BottleneckScenario(network=net, chi=chi, schedule=schedule,
+                              oracle=oracle, flows=flows,
+                              target=("r", "rd"), red_params=params,
+                              connector=connector)
 
 
 # -- spec constructors for the simple testbed -------------------------------
@@ -499,7 +411,7 @@ def _attack_scenario(spec: ScenarioSpec) -> AttackScenario:
 
 def build_scenario(
     spec: ScenarioSpec,
-) -> Union[AttackScenario, DropTailScenario, REDScenario]:
+) -> Union[AttackScenario, BottleneckScenario]:
     """Build the scenario a spec describes.
 
     The ``simple`` topology maps onto the emulation testbed (droptail or
@@ -507,26 +419,5 @@ def build_scenario(
     other catalogued topology builds an :class:`AttackScenario`.
     """
     if spec.topology.name == "simple":
-        kwargs = dict(
-            n_sources=int(spec.traffic.flows),
-            bottleneck_bw=float(
-                spec.topology.option("bottleneck_bw", 1.0 * MBPS)),
-            tau=spec.tau,
-            with_connector=bool(spec.option("with_connector", False)),
-            seed=spec.seed,
-        )
-        queue = str(spec.option("queue", "droptail"))
-        if queue == "droptail":
-            return _droptail_scenario(
-                queue_limit=int(spec.topology.option("queue_limit",
-                                                     60_000)),
-                proc_jitter=float(spec.option("proc_jitter", 0.0004)),
-                **kwargs)
-        if queue == "red":
-            return _red_scenario(
-                queue_limit=int(spec.topology.option("queue_limit",
-                                                     120_000)),
-                **kwargs)
-        raise ValueError(
-            f"unknown queue option {queue!r}; 'droptail' or 'red'")
+        return _bottleneck_scenario(spec)
     return _attack_scenario(spec)

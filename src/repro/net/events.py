@@ -26,10 +26,10 @@ from repro.obs import recorder
 class Event:
     """A scheduled callback.
 
-    Events order by ``(time, seq)`` so that simultaneous events fire in
-    the order they were scheduled.  (Inside :class:`Simulator` that key
-    lives in the heap entry itself; the comparison operators here keep
-    the historical dataclass ``order=True`` contract for external code.)
+    Events fire in ``(time, seq)`` order so that simultaneous events fire
+    in the order they were scheduled.  That key lives in the
+    :class:`Simulator` heap entry, not on the event: events themselves
+    do not compare.
     """
 
     __slots__ = ("time", "seq", "fn", "args", "cancelled")
@@ -45,23 +45,6 @@ class Event:
     def cancel(self) -> None:
         """Mark the event so the dispatcher skips it."""
         self.cancelled = True
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Event):
-            return NotImplemented
-        return (self.time, self.seq) == (other.time, other.seq)
-
-    def __lt__(self, other: "Event") -> bool:
-        return (self.time, self.seq) < (other.time, other.seq)
-
-    def __le__(self, other: "Event") -> bool:
-        return (self.time, self.seq) <= (other.time, other.seq)
-
-    def __gt__(self, other: "Event") -> bool:
-        return (self.time, self.seq) > (other.time, other.seq)
-
-    def __ge__(self, other: "Event") -> bool:
-        return (self.time, self.seq) >= (other.time, other.seq)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         flag = ", cancelled" if self.cancelled else ""
@@ -85,8 +68,9 @@ class Simulator:
     """
 
     #: Process-wide cumulative dispatch count across every Simulator
-    #: instance.  ``repro.bench`` reads the delta around a workload run
-    #: to get events/sec without instrumenting (or slowing) the loop.
+    #: instance.  The benchmark harness (``perfbench/``) reads the delta
+    #: around a workload run to get events/sec without instrumenting (or
+    #: slowing) the loop.
     dispatched_total: int = 0
 
     def __init__(self) -> None:
@@ -96,7 +80,7 @@ class Simulator:
         self._running = False
         #: Cumulative count of events dispatched by this simulator across
         #: all :meth:`run` calls — the denominator of every events/sec
-        #: benchmark (see :mod:`repro.bench`).
+        #: benchmark (see ``perfbench/``).
         self.events_dispatched: int = 0
 
     def schedule(self, delay: float, fn: Callable[..., None], *args: Any) -> Event:

@@ -25,8 +25,7 @@ submodules are internal: reaching them through the package emits a
 names it already exports.
 """
 
-import importlib as _importlib
-import warnings as _warnings
+from repro._surface import narrow_surface as _narrow_surface
 
 from repro.obs.diff import DiffReport, diff_sweeps
 from repro.obs.forensics import (
@@ -88,28 +87,4 @@ _INTERNAL_MODULES = (
     "trace",
 )
 
-# Drop the submodule bindings the re-exports above created on the
-# package, so attribute access routes through __getattr__ (PEP 562)
-# and carries a deprecation warning for the internal modules.
-for _name in _INTERNAL_MODULES:
-    globals().pop(_name, None)
-del _name
-
-
-def __getattr__(name: str):
-    if name in _PUBLIC_MODULES:
-        return _importlib.import_module(f"repro.obs.{name}")
-    if name in _INTERNAL_MODULES:
-        _warnings.warn(
-            f"repro.obs.{name} is an internal module; import the "
-            f"supported names from the repro.obs package instead "
-            f"(see repro.obs.__all__)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return _importlib.import_module(f"repro.obs.{name}")
-    raise AttributeError(f"module 'repro.obs' has no attribute {name!r}")
-
-
-def __dir__():
-    return sorted(set(__all__) | set(_INTERNAL_MODULES))
+_narrow_surface(globals(), _INTERNAL_MODULES, _PUBLIC_MODULES)

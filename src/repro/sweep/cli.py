@@ -32,7 +32,7 @@ def add_sweep_parser(sub: argparse._SubParsersAction) -> argparse.ArgumentParser
             "are retried with exponential backoff, then marked failed; "
             "--shard i/n runs one deterministic slice of the sweep for "
             "later `repro merge`, and --executor dispatches all shards "
-            "(child processes or ssh hosts) and auto-merges them."),
+            "(in-process or as child processes) and auto-merges them."),
     )
     parser.add_argument("experiment", help="registered experiment name")
     parser.add_argument("--seeds", type=int, default=8, metavar="N",
@@ -108,29 +108,16 @@ def add_sweep_parser(sub: argparse._SubParsersAction) -> argparse.ArgumentParser
         "auto-merge the results (see EXPERIMENTS.md, 'Distributed "
         "sweeps')")
     dispatch.add_argument("--executor", default=None,
-                          choices=("local", "subprocess", "ssh"),
-                          help="dispatch shards in-process (local), as "
-                               "supervised child processes (subprocess), "
-                               "or across hosts (ssh)")
+                          choices=("local", "subprocess"),
+                          help="dispatch shards in-process (local) or as "
+                               "supervised child processes (subprocess)")
     dispatch.add_argument("--shards", type=int, default=None, metavar="N",
                           help="shard count (default: 1 for local, 2 for "
-                               "subprocess, total host slots for ssh)")
-    dispatch.add_argument("--hosts", default=None, metavar="H1,H2:SLOTS",
-                          help="ssh hosts as name or name:slots, "
-                               "comma-separated")
-    dispatch.add_argument("--hostfile", default=None, metavar="PATH",
-                          help="TOML hostfile (see EXPERIMENTS.md for the "
-                               "format); overrides --hosts")
-    dispatch.add_argument("--transport", default="ssh",
-                          choices=("ssh", "local"),
-                          help="how ssh shards reach their hosts: real "
-                               "ssh/scp, or local subprocesses (smoke "
-                               "tests; host names become labels)")
+                               "subprocess)")
     dispatch.add_argument("--shard-attempts", type=int, default=2,
                           metavar="N",
                           help="dispatch attempts per shard before the "
-                               "sweep fails; lost shards are re-run, on "
-                               "another host when there is one "
+                               "sweep fails; lost shards are re-run "
                                "(default 2)")
     dispatch.add_argument("--shard-timeout", type=float, default=None,
                           metavar="S",
@@ -188,42 +175,24 @@ def _start_heartbeat(path: str) -> None:
 def _build_executor(args: argparse.Namespace) -> Optional[Executor]:
     """Construct the requested dispatch backend, or None for --shard/plain."""
     if args.executor is None:
-        for flag, name in ((args.hosts, "--hosts"),
-                           (args.hostfile, "--hostfile"),
-                           (args.shards, "--shards")):
-            if flag is not None:
-                raise ValueError(f"{name} needs --executor")
+        if args.shards is not None:
+            raise ValueError("--shards needs --executor")
         return None
     if args.shard is not None:
         raise ValueError(
             "--shard marks this process as one shard of a dispatched "
             "sweep; it cannot be combined with --executor")
     from repro.sweep.executors import (
-        LocalCommandTransport,
         LocalPoolExecutor,
-        SSHExecutor,
         SubprocessShardExecutor,
-        load_hostfile,
-        parse_hosts,
     )
 
     if args.executor == "local":
         return LocalPoolExecutor(shards=args.shards or 1)
-    if args.executor == "subprocess":
-        return SubprocessShardExecutor(
-            shards=args.shards or 2,
-            heartbeat_timeout_s=args.heartbeat_timeout,
-            shard_timeout_s=args.shard_timeout)
-    if args.hostfile:
-        hosts = load_hostfile(args.hostfile)
-    elif args.hosts:
-        hosts = parse_hosts(args.hosts)
-    else:
-        raise ValueError("--executor ssh needs --hosts or --hostfile")
-    transport = (LocalCommandTransport() if args.transport == "local"
-                 else None)
-    return SSHExecutor(hosts, transport=transport, shards=args.shards,
-                       shard_timeout_s=args.shard_timeout)
+    return SubprocessShardExecutor(
+        shards=args.shards or 2,
+        heartbeat_timeout_s=args.heartbeat_timeout,
+        shard_timeout_s=args.shard_timeout)
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:

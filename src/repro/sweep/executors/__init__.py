@@ -4,41 +4,23 @@ The :class:`~repro.sweep.executors.base.Executor` protocol turns a
 sweep's deterministic ``--shard i/n`` slices into running shards and
 collects their artifact directories for the merge path; see
 ``base.py`` for the contract and EXPERIMENTS.md ("Distributed sweeps")
-for usage.  Three backends ship:
+for usage.  Two backends ship:
 
 * :class:`LocalPoolExecutor` — shards run in this process on the
   classic pool (``--executor local``);
 * :class:`SubprocessShardExecutor` — shards are supervised child
   ``python -m repro sweep`` processes with heartbeat/timeout kill
-  detection (``--executor subprocess``);
-* :class:`SSHExecutor` — shards run on remote hosts over
-  ``ssh``/``scp`` or any injected transport (``--executor ssh``).
+  detection (``--executor subprocess``).
 """
 
 from repro.sweep.executors.base import Executor, ShardHandle, ShardSpec
 from repro.sweep.executors.local import LocalPoolExecutor
-from repro.sweep.executors.ssh import (
-    CommandTransport,
-    Host,
-    LocalCommandTransport,
-    SSHCommandTransport,
-    SSHExecutor,
-    load_hostfile,
-    parse_hosts,
-)
 from repro.sweep.executors.subprocess_shard import SubprocessShardExecutor
 
 __all__ = [
-    "CommandTransport",
     "Executor",
-    "Host",
-    "LocalCommandTransport",
     "LocalPoolExecutor",
-    "SSHCommandTransport",
-    "SSHExecutor",
     "ShardHandle",
     "ShardSpec",
     "SubprocessShardExecutor",
-    "load_hostfile",
-    "parse_hosts",
 ]

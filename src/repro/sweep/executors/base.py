@@ -7,7 +7,7 @@ computes everywhere).  Each slice becomes a :class:`ShardSpec`; an
 through :class:`ShardHandle` objects:
 
 * ``submit(spec) -> ShardHandle`` — start one shard (may block for
-  in-process executors, must not for remote ones);
+  in-process executors, must not for child-process ones);
 * ``poll() -> [ShardHandle]`` — refresh and return every live handle's
   status (``running`` / ``ok`` / ``failed`` / ``lost``);
 * ``collect() -> [artifact dir]`` — the per-shard artifact directories,
@@ -16,16 +16,15 @@ through :class:`ShardHandle` objects:
 
 ``failed`` means the shard exited deterministically (bad config,
 ``--strict`` abort) and re-dispatching it cannot help; ``lost`` means
-the shard's process or host died (SIGKILL, OOM, network, stale
-heartbeat) and the driver may re-dispatch it via :meth:`Executor.
-resubmit` — on a different host when the executor has one.
+the shard's process died (SIGKILL, OOM, stale heartbeat) and the
+driver may re-dispatch it via :meth:`Executor.resubmit`.
 """
 
 from __future__ import annotations
 
 import sys
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, List, Optional, Tuple
+from typing import TYPE_CHECKING, List, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.sweep.runner import SweepConfig
@@ -34,7 +33,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
 SHARD_RUNNING = "running"
 SHARD_OK = "ok"
 SHARD_FAILED = "failed"  # deterministic failure; never re-dispatched
-SHARD_LOST = "lost"      # process/host death; eligible for re-dispatch
+SHARD_LOST = "lost"      # process death; eligible for re-dispatch
 
 
 @dataclass(frozen=True)
@@ -43,7 +42,7 @@ class ShardSpec:
 
     ``config`` is the child's :class:`~repro.sweep.runner.SweepConfig`
     (shard-free — the shard slice lives here); ``out_dir`` is where the
-    shard's artifacts must end up on *this* host; ``heartbeat`` names a
+    shard writes its artifacts; ``heartbeat`` names a
     file the shard process keeps touching so a supervisor can tell a
     wedged shard from a slow one (None disables the heartbeat).
     """
@@ -55,22 +54,15 @@ class ShardSpec:
     out_dir: str
     heartbeat: Optional[str] = None
 
-    def command(self, python: str = sys.executable, *,
-                out_dir: Optional[str] = None,
-                heartbeat: Optional[str] = None) -> List[str]:
-        """The ``python -m repro sweep`` argv that runs this shard.
-
-        ``out_dir``/``heartbeat`` override the spec's local paths for
-        executors whose shard runs on another filesystem (ssh) and is
-        fetched back afterwards.
-        """
+    def command(self, python: str = sys.executable) -> List[str]:
+        """The ``python -m repro sweep`` argv that runs this shard."""
         cfg = self.config
         argv = [python, "-m", "repro", "sweep", self.experiment,
                 "--seeds", str(cfg.seeds),
                 "--jobs", str(cfg.jobs),
                 "--root-seed", str(cfg.root_seed),
                 "--shard", f"{self.index}/{self.count}",
-                "--out", out_dir or self.out_dir,
+                "--out", self.out_dir,
                 "--quiet"]
         for key, value in sorted((cfg.params or {}).items()):
             argv += ["--param", f"{key}={_cli_value(key, value)}"]
@@ -86,8 +78,7 @@ class ShardSpec:
         if cfg.strict:
             argv += ["--strict"]
         if cfg.trace_dir is not None:
-            # Bare flag: the child traces into its own <out>/traces, so
-            # remote shard traces come back with the artifact fetch.
+            # Bare flag: the child traces into its own <out>/traces.
             argv += ["--trace"]
         if not cfg.use_cache:
             argv += ["--no-cache"]
@@ -96,9 +87,8 @@ class ShardSpec:
             if cfg.cache_max_bytes is not None:
                 argv += ["--cache-max-mb",
                          str(cfg.cache_max_bytes / (1024 * 1024))]
-        beat = heartbeat if heartbeat is not None else self.heartbeat
-        if beat:
-            argv += ["--heartbeat", beat]
+        if self.heartbeat:
+            argv += ["--heartbeat", self.heartbeat]
         return argv
 
 
@@ -122,8 +112,6 @@ class ShardHandle:
     host: str = "local"
     pid: Optional[int] = None
     error: Optional[str] = None
-    #: Hosts that already lost this shard; resubmit avoids them.
-    excluded_hosts: Tuple[str, ...] = ()
     #: Wall-clock seconds of the successful attempt (telemetry).
     wall_s: Optional[float] = None
     #: Executor-private worker state (process, thread, ...).
@@ -157,8 +145,7 @@ class Executor:
     def n_shards(self) -> int:
         raise NotImplementedError
 
-    def submit(self, spec: ShardSpec, *,
-               excluded_hosts: Tuple[str, ...] = ()) -> ShardHandle:
+    def submit(self, spec: ShardSpec) -> ShardHandle:
         raise NotImplementedError
 
     def poll(self) -> List[ShardHandle]:
@@ -171,11 +158,9 @@ class Executor:
         raise NotImplementedError
 
     def resubmit(self, handle: ShardHandle) -> ShardHandle:
-        """Re-dispatch a lost shard, avoiding hosts that lost it before."""
-        excluded = handle.excluded_hosts + (handle.host,)
-        fresh = self.submit(handle.spec, excluded_hosts=excluded)
+        """Re-dispatch a lost shard."""
+        fresh = self.submit(handle.spec)
         fresh.attempts = handle.attempts + 1
-        fresh.excluded_hosts = excluded
         return fresh
 
 

@@ -351,7 +351,7 @@ class LocalPoolExecutor(Executor):
     def n_shards(self) -> int:
         return self._n_shards
 
-    def submit(self, spec: ShardSpec, *, excluded_hosts=()) -> ShardHandle:
+    def submit(self, spec: ShardSpec) -> ShardHandle:
         from repro.sweep.artifacts import write_sweep_artifacts
         from repro.sweep.runner import run_sweep
 

@@ -69,7 +69,7 @@ class SubprocessShardExecutor(Executor):
     def handles(self) -> List[ShardHandle]:
         return self._registry.ordered()
 
-    def submit(self, spec: ShardSpec, *, excluded_hosts=()) -> ShardHandle:
+    def submit(self, spec: ShardSpec) -> ShardHandle:
         os.makedirs(spec.out_dir, exist_ok=True)
         manifest = os.path.join(spec.out_dir, "sweep.json")
         if os.path.exists(manifest):  # stale artifact from a killed attempt

@@ -11,7 +11,7 @@ a single ``--shard i/n`` slice.
 With an ``executor`` (see :mod:`repro.sweep.executors`) the sweep is
 instead *dispatched*: split into ``executor.n_shards`` deterministic
 slices, each submitted as a shard, supervised until every shard reports
-``ok`` — a ``lost`` shard (killed process, dead host, stale heartbeat)
+``ok`` — a ``lost`` shard (killed process, stale heartbeat)
 is re-dispatched under :class:`~repro.sweep.retry.ShardRetryPolicy`,
 reusing cached cells from the lost attempt — and finally auto-merged
 through the validated merge path, so the returned
@@ -331,7 +331,7 @@ def _run_dispatched(experiment: str, config: SweepConfig,
     from repro.sweep.merge import merge_sweep_dirs
 
     # Validate everything up front so a typo fails here, not inside a
-    # child process on another host; children re-coerce identically.
+    # child process; children re-coerce identically.
     params, grid, _n_seeds, all_specs = _validated_inputs(
         experiment, config, progress=progress)
     count = executor.n_shards
@@ -372,12 +372,6 @@ def _run_dispatched(experiment: str, config: SweepConfig,
         for spec in shard_list:
             handles[spec.index] = executor.submit(spec)
         submit_s = time.perf_counter() - submit_started
-        preflight_failures = dict(
-            getattr(executor, "preflight_failures", None) or {})
-        if preflight_failures and progress is not None:
-            for host in sorted(preflight_failures):
-                progress(f"host {host} dropped by preflight: "
-                         f"{preflight_failures[host]}")
         while True:
             executor.poll()
             busy = False
@@ -427,8 +421,6 @@ def _run_dispatched(experiment: str, config: SweepConfig,
         "n_shards": count,
         "shards": [handles[index].describe() for index in sorted(handles)],
     }
-    if preflight_failures:
-        merged.dispatch["preflight_failures"] = preflight_failures
     if merged.telemetry is not None:
         # Shard telemetry was merged from the surviving attempts'
         # manifests (a lost attempt left no manifest, so its partial

@@ -8,7 +8,6 @@ disabled recorder is inert.
 """
 
 import json
-import os
 
 import pytest
 

@@ -15,7 +15,6 @@ from repro.__main__ import main
 from repro.obs import QueryFilter, TraceEvent, TraceReader, trace_files
 from repro.obs.query import (
     INDEX_VERSION,
-    build_index,
     index_path,
     scan,
 )

@@ -6,9 +6,6 @@ files are byte-deterministic for a fixed seed, and every ``t`` in the
 trace is simulator virtual time — never a wall clock.
 """
 
-import filecmp
-import json
-
 import pytest
 
 from repro.eval.experiments import _run_droptail

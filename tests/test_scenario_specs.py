@@ -1,8 +1,7 @@
 """The typed scenario-spec API and its sweep integration.
 
 Covers the four spec layers (topology / adversary / placement /
-traffic), serialization byte-stability, placement determinism, the
-one-release deprecation shims over the old positional builders, dotted
+traffic), serialization byte-stability, placement determinism, dotted
 ``--grid`` parameter folding/validation, and an end-to-end
 ``attack_matrix`` sweep whose aggregate must be bit-identical across
 runs with the same root seed.
@@ -10,7 +9,6 @@ runs with the same root seed.
 
 import hashlib
 import json
-import warnings
 
 import pytest
 
@@ -27,7 +25,6 @@ from repro.eval import (
     topology_names,
 )
 from repro.eval.registry import ParamError, get as get_experiment
-from repro.eval.scenarios import _SHIM_WARNED
 from repro.net import abilene, chain, ring
 from repro.sweep.grid import fold_dotted_params
 
@@ -193,47 +190,6 @@ class TestPlacement:
         assert BEHAVIORS[0] == "none"
 
 
-class TestDeprecatedShims:
-    @pytest.fixture(autouse=True)
-    def fresh_warning_state(self):
-        saved = set(_SHIM_WARNED)
-        _SHIM_WARNED.clear()
-        yield
-        _SHIM_WARNED.clear()
-        _SHIM_WARNED.update(saved)
-
-    def test_droptail_shim_warns_exactly_once(self):
-        from repro.eval import build_droptail_scenario
-        with warnings.catch_warnings(record=True) as seen:
-            warnings.simplefilter("always")
-            build_droptail_scenario()
-            build_droptail_scenario()
-        deprecations = [w for w in seen
-                        if issubclass(w.category, DeprecationWarning)]
-        assert len(deprecations) == 1
-        assert "droptail_spec" in str(deprecations[0].message)
-
-    def test_red_shim_warns_exactly_once(self):
-        from repro.eval import build_red_scenario
-        with warnings.catch_warnings(record=True) as seen:
-            warnings.simplefilter("always")
-            build_red_scenario()
-            build_red_scenario()
-        deprecations = [w for w in seen
-                        if issubclass(w.category, DeprecationWarning)]
-        assert len(deprecations) == 1
-        assert "red_spec" in str(deprecations[0].message)
-
-    def test_shim_output_matches_spec_path(self):
-        from repro.eval import build_droptail_scenario, droptail_spec
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            old = build_droptail_scenario(seed=3)
-        new = build_scenario(droptail_spec(seed=3))
-        assert type(old) is type(new)
-        assert sorted(old.network.routers) == sorted(new.network.routers)
-
-
 class TestDottedParams:
     def test_fold_basic(self):
         assert fold_dotted_params(
@@ -293,11 +249,22 @@ class TestAttackScenarioBuild:
         assert scenario.attack is not None
 
     def test_simple_topology_routes_to_testbed_builders(self):
-        from repro.eval import droptail_spec, red_spec
+        from repro.eval import BottleneckScenario, droptail_spec, red_spec
+        from repro.net import DropTailQueue, REDQueue
         droptail = build_scenario(droptail_spec())
         red = build_scenario(red_spec())
-        assert type(droptail).__name__ == "DropTailScenario"
-        assert type(red).__name__ == "REDScenario"
+        assert isinstance(droptail, BottleneckScenario)
+        assert isinstance(red, BottleneckScenario)
+        assert droptail.red_params is None
+        assert isinstance(droptail.bottleneck_queue, DropTailQueue)
+        assert red.red_params is not None
+        assert isinstance(red.bottleneck_queue, REDQueue)
+
+    def test_simple_topology_rejects_unknown_queue(self):
+        spec = ScenarioSpec(topology={"name": "simple"},
+                            options={"queue": "fifo"})
+        with pytest.raises(ValueError, match="unknown queue option"):
+            build_scenario(spec)
 
     def test_abilene_matches_paper_scale(self):
         assert len(abilene().routers) == 11
